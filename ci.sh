@@ -200,3 +200,10 @@ if [ "$mode" = full ]; then
     echo "$ivm_out" | grep -q ">=2x: PASS"
     test -s BENCH_incremental.json
 fi
+
+# benchmark self-test (~3 s): at a tiny size, every planted engine fault
+# must be caught by the benchmark's answer checks and every disarmed run
+# must be clean, so an engine change that breaks those checks, or blinds
+# their fault detection, fails here. It runs last so that a failure here
+# never hides the bars above.
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --selftest

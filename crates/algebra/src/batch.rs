@@ -19,7 +19,7 @@ use crate::ops::groupby;
 use crate::ops::join::{record_phases, JoinKeys, JoinPhases, JoinType};
 use crate::stats::ExecStats;
 use aio_storage::{
-    Batch, ColumnVec, FxHashMap, Key, NullMask, Relation, Schema, Value, GATHER_NULL,
+    Batch, ColumnVec, FxHashMap, NullMask, Relation, Schema, Value, GATHER_NULL,
 };
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -533,7 +533,7 @@ pub(crate) fn group_by(
             }
             update_accs(&mut accs, &c.aggs, &arg_cols, input, i, &scratch)?;
         }
-        groupby::finish_group(&Key(Vec::new().into_boxed_slice()), accs, &c, &mut out)?;
+        groupby::finish_group(&[], accs, &c, &mut out)?;
         stats.rows_produced += 1;
         return Ok(Some(Batch::from_relation(&out)));
     };
@@ -575,7 +575,7 @@ pub(crate) fn group_by(
     entries.sort_unstable_by_key(|e| e.0);
     for (key, accs) in entries {
         let kv = key.map_or(Value::Null, Value::Int);
-        groupby::finish_group(&Key(vec![kv].into_boxed_slice()), accs, &c, &mut out)?;
+        groupby::finish_group(&[kv], accs, &c, &mut out)?;
     }
     stats.rows_produced += out.len() as u64;
     Ok(Some(Batch::from_relation(&out)))

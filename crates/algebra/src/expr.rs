@@ -201,43 +201,60 @@ impl ScalarExpr {
     /// Evaluate with an aggregate-result environment (`AggRef(i)` reads
     /// `aggs[i]`).
     pub fn eval_env(&self, row: &[Value], aggs: &[Value]) -> Result<Value> {
+        self.eval_cols(&|i| row.get(i), aggs)
+    }
+
+    /// Evaluate against the concatenation `left ++ right` without building
+    /// it (the fused aggregate-join's matched pairs).
+    pub fn eval_pair(&self, left: &[Value], right: &[Value]) -> Result<Value> {
+        let split = left.len();
+        self.eval_cols(
+            &|i| if i < split { left.get(i) } else { right.get(i - split) },
+            &[],
+        )
+    }
+
+    /// The evaluator proper, over any column accessor.
+    fn eval_cols<'r, F>(&self, row: &F, aggs: &[Value]) -> Result<Value>
+    where
+        F: Fn(usize) -> Option<&'r Value>,
+    {
         Ok(match self {
             ScalarExpr::Col(n) => {
                 return Err(AlgebraError::Expr(format!("unbound column reference {n}")))
             }
-            ScalarExpr::BoundCol(i) => row
-                .get(*i)
+            ScalarExpr::BoundCol(i) => row(*i)
                 .cloned()
                 .ok_or_else(|| AlgebraError::Expr(format!("column index {i} out of range")))?,
             ScalarExpr::Lit(v) => v.clone(),
-            ScalarExpr::Unary(op, e) => eval_unary(*op, e.eval_env(row, aggs)?),
+            ScalarExpr::Unary(op, e) => eval_unary(*op, e.eval_cols(row, aggs)?),
             ScalarExpr::Binary(op, l, r) => {
                 // And/Or need 3VL short-circuit handling of both sides.
-                let lv = l.eval_env(row, aggs)?;
+                let lv = l.eval_cols(row, aggs)?;
                 match op {
                     BinOp::And => {
                         if lv == Value::Int(0) {
                             return Ok(Value::Int(0));
                         }
-                        let rv = r.eval_env(row, aggs)?;
+                        let rv = r.eval_cols(row, aggs)?;
                         return Ok(logic_and(lv, rv));
                     }
                     BinOp::Or => {
                         if lv == Value::Int(1) {
                             return Ok(Value::Int(1));
                         }
-                        let rv = r.eval_env(row, aggs)?;
+                        let rv = r.eval_cols(row, aggs)?;
                         return Ok(logic_or(lv, rv));
                     }
                     _ => {}
                 }
-                let rv = r.eval_env(row, aggs)?;
+                let rv = r.eval_cols(row, aggs)?;
                 eval_binary(*op, lv, rv)?
             }
             ScalarExpr::Func(f, args) => {
                 let vals: Vec<Value> = args
                     .iter()
-                    .map(|a| a.eval_env(row, aggs))
+                    .map(|a| a.eval_cols(row, aggs))
                     .collect::<Result<_>>()?;
                 eval_func(*f, vals)?
             }

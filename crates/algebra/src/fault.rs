@@ -14,6 +14,7 @@ thread_local! {
     static UBU_OFF_BY_ONE: Cell<bool> = const { Cell::new(false) };
     static WCOJ_SEEK_OFF_BY_ONE: Cell<bool> = const { Cell::new(false) };
     static IVM_SEED_OFF_BY_ONE: Cell<bool> = const { Cell::new(false) };
+    static AGGJOIN_DROP_LAST_MATCH: Cell<bool> = const { Cell::new(false) };
     static HITS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -86,6 +87,29 @@ pub fn clip_ivm_seed(seed: &mut aio_storage::Relation) {
         seed.rows_mut().truncate(n);
         HITS.with(|h| h.set(h.get() + 1));
     }
+}
+
+/// Arm (or disarm) the fused aggregate-join off-by-one on this thread:
+/// every probe row folds all of its build-side matches but the last — the
+/// `< n - 1` bucket-loop bound, planted in the kernel that replaces
+/// join-then-group-by so the aggregate-join parity test can prove it has
+/// teeth. Arming resets the hit counter.
+pub fn inject_aggjoin_drop_last_match(enabled: bool) {
+    AGGJOIN_DROP_LAST_MATCH.with(|f| f.set(enabled));
+    if enabled {
+        HITS.with(|h| h.set(0));
+    }
+}
+
+/// Whether the aggregate-join fault is currently armed on this thread.
+pub fn aggjoin_fault_armed() -> bool {
+    AGGJOIN_DROP_LAST_MATCH.with(|f| f.get())
+}
+
+/// Recorded by the fused aggregate-join: `n` matches the armed fault
+/// dropped.
+pub(crate) fn note_aggjoin_hits(n: u64) {
+    HITS.with(|h| h.set(h.get() + n));
 }
 
 /// Applied by `union_by_update` to its delta before merging: when armed,

@@ -33,8 +33,8 @@ pub use agg::AggFunc;
 pub use error::{AlgebraError, Result};
 pub use expr::{seed_random, BinOp, Func, ScalarExpr, UnaryOp};
 pub use fault::{
-    fault_hits, inject_ubu_off_by_one, inject_wcoj_seek_off_by_one, ubu_fault_armed,
-    wcoj_fault_armed,
+    aggjoin_fault_armed, fault_hits, inject_aggjoin_drop_last_match, inject_ubu_off_by_one,
+    inject_wcoj_seek_off_by_one, ubu_fault_armed, wcoj_fault_armed,
 };
 pub use ops::{AntiJoinImpl, JoinKeys, JoinType, MvOrientation, UbuImpl};
 pub use optimize::{optimize_plan, push_selections};

@@ -111,8 +111,8 @@ pub(crate) fn output_schema(input: &Schema, group_cols: &[usize], c: &Compiled) 
 }
 
 pub(crate) fn finish_group(
-    key: &Key,
-    accs: Vec<Accumulator>,
+    key: &[Value],
+    accs: impl IntoIterator<Item = Accumulator>,
     c: &Compiled,
     out: &mut Relation,
 ) -> Result<()> {
@@ -120,7 +120,7 @@ pub(crate) fn finish_group(
     let row: Vec<Value> = c
         .items
         .iter()
-        .map(|it| it.expr.eval_env(&key.0, &agg_vals))
+        .map(|it| it.expr.eval_env(key, &agg_vals))
         .collect::<Result<_>>()?;
     out.rows_mut().push(row.into_boxed_slice());
     Ok(())
@@ -172,7 +172,7 @@ pub fn group_by_par(
                 acc.update(&arg.eval(row)?);
             }
         }
-        finish_group(&Key(Vec::new().into_boxed_slice()), accs, &c, &mut out)?;
+        finish_group(&[], accs, &c, &mut out)?;
         stats.rows_produced += 1;
         return Ok(out);
     }
@@ -216,7 +216,7 @@ pub fn group_by_par(
             let mut entries: Vec<(Key, Vec<Accumulator>)> = groups.into_iter().collect();
             entries.sort_by(|a, b| a.0.cmp(&b.0));
             for (key, accs) in entries {
-                finish_group(&key, accs, &c, &mut out)?;
+                finish_group(&key.0, accs, &c, &mut out)?;
             }
         }
         AggStrategy::Sort => {
@@ -239,7 +239,7 @@ pub fn group_by_par(
                     }
                     i += 1;
                 }
-                finish_group(&key, accs, &c, &mut out)?;
+                finish_group(&key.0, accs, &c, &mut out)?;
             }
         }
     }

@@ -53,6 +53,20 @@ pub struct ParInfo {
 }
 
 impl ParInfo {
+    /// What [`run_morsels`] does with `len` rows at parallelism `par`,
+    /// without running anything — for operators that keep the morsel
+    /// accounting of the operators they stand in for.
+    pub fn of(len: usize, par: usize) -> ParInfo {
+        let morsels = match morsel_step(len, par) {
+            None => 1,
+            Some(step) => len.div_ceil(step),
+        };
+        ParInfo {
+            threads: par.min(morsels).max(1),
+            morsels: morsels as u64,
+        }
+    }
+
     /// Did this run actually fan out?
     pub fn parallel(&self) -> bool {
         self.threads > 1
@@ -64,11 +78,10 @@ impl ParInfo {
 /// reproducible. Returns a single range when parallelism is off or the
 /// input is too small to be worth splitting.
 pub fn morsel_ranges(len: usize, par: usize) -> Vec<Range<usize>> {
-    if par <= 1 || len < MIN_PARALLEL_ROWS {
+    let Some(step) = morsel_step(len, par) else {
         // one morsel covering the whole input, i.e. the serial path
         return std::iter::once(0..len).collect();
-    }
-    let step = MIN_MORSEL_ROWS.max(len.div_ceil(par * MORSELS_PER_WORKER));
+    };
     let mut out = Vec::with_capacity(len.div_ceil(step));
     let mut lo = 0;
     while lo < len {
@@ -77,6 +90,12 @@ pub fn morsel_ranges(len: usize, par: usize) -> Vec<Range<usize>> {
         lo = hi;
     }
     out
+}
+
+/// Rows per morsel, or `None` when the input stays one morsel.
+fn morsel_step(len: usize, par: usize) -> Option<usize> {
+    (par > 1 && len >= MIN_PARALLEL_ROWS)
+        .then(|| MIN_MORSEL_ROWS.max(len.div_ceil(par * MORSELS_PER_WORKER)))
 }
 
 /// Run `work` over every morsel of `0..len`, on up to `par` scoped threads,
@@ -91,10 +110,7 @@ where
     F: Fn(Range<usize>) -> Result<T> + Sync,
 {
     let ranges = morsel_ranges(len, par);
-    let info = ParInfo {
-        threads: par.min(ranges.len()).max(1),
-        morsels: ranges.len() as u64,
-    };
+    let info = ParInfo::of(len, par);
     if info.threads <= 1 {
         let mut out = Vec::with_capacity(ranges.len());
         for r in ranges {
@@ -151,6 +167,16 @@ mod tests {
                 assert_eq!(w[0].end, w[1].start);
                 assert!(w[0].len() >= MIN_MORSEL_ROWS.min(len));
             }
+        }
+    }
+
+    #[test]
+    fn info_matches_the_ranges_run_morsels_uses() {
+        for (len, par) in [(0, 1), (10, 8), (4096, 2), (100_000, 4), (1_000_001, 8), (5000, 16)] {
+            let info = ParInfo::of(len, par);
+            assert_eq!(info.morsels, morsel_ranges(len, par).len() as u64, "len={len} par={par}");
+            let (_, ran) = run_morsels(len, par, |_| Ok(())).unwrap();
+            assert_eq!((info.threads, info.morsels), (ran.threads, ran.morsels));
         }
     }
 

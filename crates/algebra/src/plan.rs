@@ -11,9 +11,10 @@ use crate::expr::ScalarExpr;
 use crate::ops;
 use crate::ops::anti_join::AntiJoinImpl;
 use crate::ops::join::{JoinKeys, JoinOrders, JoinType};
-use crate::profile::{EngineProfile, ExecMode, JoinStrategy};
+use crate::profile::{AggStrategy, EngineProfile, ExecMode, JoinStrategy};
 use crate::stats::ExecStats;
 use aio_storage::{Batch, Catalog, Relation};
+use std::borrow::Cow;
 
 /// A logical plan node.
 #[derive(Clone, Debug)]
@@ -292,11 +293,20 @@ impl<'a> Evaluator<'a> {
     }
 
     pub fn eval(&mut self, plan: &Plan) -> Result<Relation> {
-        let Some(t) = self.tracer else {
-            let out = self.eval_node(plan)?;
-            self.note_row_output(plan, &out);
-            return Ok(out);
-        };
+        let span = self.open_span(plan);
+        let out = self.eval_node(plan)?;
+        self.note_row_output(plan, &out);
+        if let Some(span) = span {
+            span.field("rows_out", out.len() as u64);
+            stamp_phases(&span, plan);
+        }
+        Ok(out)
+    }
+
+    /// Open the span of `plan`'s next invocation — pre-order node id, the
+    /// estimate, and a scan's table and alias — or `None` without a tracer.
+    fn open_span(&mut self, plan: &Plan) -> Option<aio_trace::SpanGuard<'a>> {
+        let t = self.tracer?;
         let node = self.node_seq;
         self.node_seq += 1;
         let span = t.span(op_name(plan));
@@ -310,22 +320,7 @@ impl<'a> Evaluator<'a> {
                 span.field("alias", a.as_str());
             }
         }
-        let out = self.eval_node(plan)?;
-        self.note_row_output(plan, &out);
-        span.field("rows_out", out.len() as u64);
-        if matches!(plan, Plan::Join { .. }) {
-            let ph = ops::last_join_phases();
-            span.field("morsels", ph.morsels);
-            span.field("build_ns", ph.build_ns);
-            span.field("probe_ns", ph.probe_ns);
-        }
-        if matches!(plan, Plan::MultiwayJoin { .. }) {
-            let ph = crate::wcoj::last_wcoj_phases();
-            span.field("build_ns", ph.build_ns);
-            span.field("probe_ns", ph.probe_ns);
-            span.field("tries_cached", ph.tries_cached);
-        }
-        Ok(out)
+        Some(span)
     }
 
     /// Metrics tap on the row path: one branch when disabled, otherwise
@@ -387,6 +382,9 @@ impl<'a> Evaluator<'a> {
                 group_by,
                 items,
             } => {
+                if let Some(join) = self.fused_join(input, group_by) {
+                    return self.eval_agg_join(input, join, group_by, items, false);
+                }
                 let rel = self.eval(input)?;
                 ops::group_by_par(
                     &rel,
@@ -518,42 +516,16 @@ impl<'a> Evaluator<'a> {
     /// the same pre-order node ids and fields as the row path, plus a
     /// `batches` count on columnar outputs.
     fn eval_batch(&mut self, plan: &Plan) -> Result<BVal> {
-        let Some(t) = self.tracer else {
-            let out = self.eval_node_batch(plan)?;
-            self.note_batch_output(plan, &out);
-            return Ok(out);
-        };
-        let node = self.node_seq;
-        self.node_seq += 1;
-        let span = t.span(op_name(plan));
-        span.field("node", node);
-        if let Some(&e) = self.est.get(node as usize) {
-            span.field("est_rows", e);
-        }
-        if let Plan::Scan { table, alias } = plan {
-            span.field("table", table.as_str());
-            if let Some(a) = alias {
-                span.field("alias", a.as_str());
-            }
-        }
+        let span = self.open_span(plan);
         let out = self.eval_node_batch(plan)?;
         self.note_batch_output(plan, &out);
-        span.field("rows_out", out.len() as u64);
-        if let BVal::Cols(b) = &out {
-            let batches = b.len().div_ceil(self.profile.batch_size.max(1)).max(1);
-            span.field("batches", batches as u64);
-        }
-        if matches!(plan, Plan::Join { .. }) {
-            let ph = ops::last_join_phases();
-            span.field("morsels", ph.morsels);
-            span.field("build_ns", ph.build_ns);
-            span.field("probe_ns", ph.probe_ns);
-        }
-        if matches!(plan, Plan::MultiwayJoin { .. }) {
-            let ph = crate::wcoj::last_wcoj_phases();
-            span.field("build_ns", ph.build_ns);
-            span.field("probe_ns", ph.probe_ns);
-            span.field("tries_cached", ph.tries_cached);
+        if let Some(span) = span {
+            span.field("rows_out", out.len() as u64);
+            if let BVal::Cols(b) = &out {
+                let batches = b.len().div_ceil(self.profile.batch_size.max(1)).max(1);
+                span.field("batches", batches as u64);
+            }
+            stamp_phases(&span, plan);
         }
         Ok(out)
     }
@@ -590,6 +562,9 @@ impl<'a> Evaluator<'a> {
                 group_by,
                 items,
             } => {
+                if let Some(join) = self.fused_join(input, group_by) {
+                    return Ok(BVal::Rows(self.eval_agg_join(input, join, group_by, items, true)?));
+                }
                 let b = self.eval_batch(input)?.into_batch();
                 match crate::batch::group_by(
                     &b,
@@ -740,6 +715,90 @@ impl<'a> Evaluator<'a> {
         }
     }
 
+    /// The join under `Aggregate { group_by }` when the fused kernel
+    /// evaluates the pair: a non-empty grouping over a residual-free inner
+    /// equi-join, under the hash join and hash aggregation strategies.
+    /// Every other shape and profile runs the two operators.
+    fn fused_join<'p>(&self, input: &'p Plan, group_by: &[String]) -> Option<FusedJoin<'p>> {
+        if group_by.is_empty()
+            || self.profile.join != JoinStrategy::Hash
+            || self.profile.agg != AggStrategy::Hash
+        {
+            return None;
+        }
+        match input {
+            Plan::Join {
+                left,
+                right,
+                on,
+                residual: None,
+                kind: JoinType::Inner,
+            } if !on.is_empty() => Some(FusedJoin { left, right, on }),
+            _ => None,
+        }
+    }
+
+    /// `Aggregate(Join)` through [`ops::agg_join`], shared by the row and
+    /// batch paths. The join node and its children keep their spans, node
+    /// ids, stats and metrics exactly as if the join output had been
+    /// materialized, so traces and EXPLAIN ANALYZE read the same.
+    fn eval_agg_join(
+        &mut self,
+        join_plan: &Plan,
+        join: FusedJoin<'_>,
+        group_by: &[String],
+        items: &[(ScalarExpr, String)],
+        batch: bool,
+    ) -> Result<Relation> {
+        let span = self.open_span(join_plan);
+        let left = self.kernel_input(join.left, batch)?;
+        let right = self.kernel_input(join.right, batch)?;
+        let par = self.par();
+        let out = ops::agg_join(&left, &right, join.on, group_by, items, par, &mut self.stats)?;
+        // counted as the join's output, but never built: no peak memory
+        aio_metrics::hooks::op_rows(op_name(join_plan), out.join_rows);
+        if let Some(span) = span {
+            span.field("rows_out", out.join_rows);
+            stamp_phases(&span, join_plan);
+        }
+        Ok(out.rel)
+    }
+
+    /// A fused-kernel input: a table scan reads the stored rows in place
+    /// (still traced and counted as a scan), and a base table's
+    /// derived-index cache serves its join index and group-key
+    /// dictionaries; anything else evaluates.
+    fn kernel_input(&mut self, child: &Plan, batch: bool) -> Result<ops::AggJoinInput<'a>> {
+        let Plan::Scan { table, alias } = child else {
+            let rel = if batch {
+                self.eval_batch(child)?.into_relation()
+            } else {
+                self.eval(child)?
+            };
+            return Ok(ops::AggJoinInput {
+                schema: rel.schema().clone(),
+                rel: Cow::Owned(rel),
+                cache: None,
+            });
+        };
+        let span = self.open_span(child);
+        let entry = self.catalog.entry(table)?;
+        let rows = entry.rel.len() as u64;
+        self.stats.rows_scanned += rows;
+        aio_metrics::hooks::op_rows(op_name(child), rows);
+        if let Some(span) = span {
+            span.field("rows_out", rows);
+        }
+        let qual = alias.as_deref().unwrap_or(table_basename(table));
+        Ok(ops::AggJoinInput {
+            rel: Cow::Borrowed(&entry.rel),
+            schema: entry.rel.schema().with_qualifier(qual),
+            // temp tables are rewritten every fixpoint iteration: an index
+            // cached on one would only be held, never reused
+            cache: (!entry.temp).then_some(&entry.cache),
+        })
+    }
+
     /// The row-engine join, shared by batch-mode bridges (merge/nested
     /// strategies, residual predicates, non-Int keys).
     #[allow(clippy::too_many_arguments)]
@@ -792,6 +851,32 @@ impl<'a> Evaluator<'a> {
             _ => None,
         }
     }
+}
+
+/// Join-phase fields of a span: build/probe timings and morsels for
+/// binary joins, plus the trie-cache flag for multiway joins. Joins record
+/// their phases last on this thread, right before their span closes.
+fn stamp_phases(span: &aio_trace::SpanGuard<'_>, plan: &Plan) {
+    if matches!(plan, Plan::Join { .. }) {
+        let ph = ops::last_join_phases();
+        span.field("morsels", ph.morsels);
+        span.field("build_ns", ph.build_ns);
+        span.field("probe_ns", ph.probe_ns);
+    }
+    if matches!(plan, Plan::MultiwayJoin { .. }) {
+        let ph = crate::wcoj::last_wcoj_phases();
+        span.field("build_ns", ph.build_ns);
+        span.field("probe_ns", ph.probe_ns);
+        span.field("tries_cached", ph.tries_cached);
+    }
+}
+
+/// The parts of a `Plan::Join` the fused aggregate-join reads.
+#[derive(Clone, Copy)]
+struct FusedJoin<'p> {
+    left: &'p Plan,
+    right: &'p Plan,
+    on: &'p [(String, String)],
 }
 
 /// A value flowing between operators in batch mode: columnar when the

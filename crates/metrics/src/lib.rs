@@ -236,6 +236,8 @@ engine_metrics! {
     trie_cache_hits_total: Counter => "trie-index cache hits";
     trie_cache_misses_total: Counter => "trie-index cache misses (index built)";
     trie_build_ms: Histogram => "trie-index build duration in milliseconds";
+    join_index_cache_hits_total: Counter => "hash join-index cache hits";
+    join_index_cache_misses_total: Counter => "hash join-index cache misses (index built)";
     stats_cache_hits_total: Counter => "relation-statistics cache hits";
     stats_cache_misses_total: Counter => "relation-statistics cache misses";
     relation_bytes_total: Counter => "estimated bytes of rows loaded into catalog relations";
@@ -295,6 +297,8 @@ engine_metrics! {
 pub struct CacheCounters {
     pub trie_hits: u64,
     pub trie_misses: u64,
+    pub join_index_hits: u64,
+    pub join_index_misses: u64,
     pub stats_hits: u64,
     pub stats_misses: u64,
     pub wal_records: u64,
@@ -307,6 +311,8 @@ impl CacheCounters {
         CacheCounters {
             trie_hits: self.trie_hits.wrapping_sub(earlier.trie_hits),
             trie_misses: self.trie_misses.wrapping_sub(earlier.trie_misses),
+            join_index_hits: self.join_index_hits.wrapping_sub(earlier.join_index_hits),
+            join_index_misses: self.join_index_misses.wrapping_sub(earlier.join_index_misses),
             stats_hits: self.stats_hits.wrapping_sub(earlier.stats_hits),
             stats_misses: self.stats_misses.wrapping_sub(earlier.stats_misses),
             wal_records: self.wal_records.wrapping_sub(earlier.wal_records),
@@ -326,6 +332,8 @@ impl CacheCounters {
 struct LocalCells {
     trie_hits: Cell<u64>,
     trie_misses: Cell<u64>,
+    join_index_hits: Cell<u64>,
+    join_index_misses: Cell<u64>,
     stats_hits: Cell<u64>,
     stats_misses: Cell<u64>,
     wal_records: Cell<u64>,
@@ -337,6 +345,8 @@ thread_local! {
         LocalCells {
             trie_hits: Cell::new(0),
             trie_misses: Cell::new(0),
+            join_index_hits: Cell::new(0),
+            join_index_misses: Cell::new(0),
             stats_hits: Cell::new(0),
             stats_misses: Cell::new(0),
             wal_records: Cell::new(0),
@@ -351,6 +361,8 @@ pub fn local_counters() -> CacheCounters {
     LOCAL.with(|l| CacheCounters {
         trie_hits: l.trie_hits.get(),
         trie_misses: l.trie_misses.get(),
+        join_index_hits: l.join_index_hits.get(),
+        join_index_misses: l.join_index_misses.get(),
         stats_hits: l.stats_hits.get(),
         stats_misses: l.stats_misses.get(),
         wal_records: l.wal_records.get(),
@@ -583,6 +595,21 @@ pub mod hooks {
         } else {
             m.trie_cache_misses_total.add_raw(1);
             LOCAL.with(|l| l.trie_misses.set(l.trie_misses.get() + 1));
+        }
+    }
+
+    #[inline]
+    pub fn join_index_cache(hit: bool) {
+        if !enabled() {
+            return;
+        }
+        let m = &global().engine;
+        if hit {
+            m.join_index_cache_hits_total.add_raw(1);
+            LOCAL.with(|l| l.join_index_hits.set(l.join_index_hits.get() + 1));
+        } else {
+            m.join_index_cache_misses_total.add_raw(1);
+            LOCAL.with(|l| l.join_index_misses.set(l.join_index_misses.get() + 1));
         }
     }
 
@@ -894,6 +921,9 @@ mod tests {
         let before = local_counters();
         hooks::trie_cache(true);
         hooks::trie_cache(false);
+        hooks::join_index_cache(true);
+        hooks::join_index_cache(true);
+        hooks::join_index_cache(false);
         hooks::stats_cache(true);
         hooks::wal_append(100);
         hooks::wal_append(20);
@@ -910,6 +940,8 @@ mod tests {
             CacheCounters {
                 trie_hits: 1,
                 trie_misses: 1,
+                join_index_hits: 2,
+                join_index_misses: 1,
                 stats_hits: 1,
                 stats_misses: 0,
                 wal_records: 2,

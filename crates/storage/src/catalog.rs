@@ -9,12 +9,13 @@
 //! statistical information"* (Section 7.2). Base tables have statistics;
 //! temp tables do not.
 
+use crate::cache::IndexCache;
 use crate::error::{Result, StorageError};
 use crate::index::SortedIndex;
 use crate::mvcc::{GenerationHub, Snapshot};
 use crate::relation::{Relation, RelationStats, Row};
 use crate::snapshot;
-use crate::trie::{TrieCache, TrieIndex};
+use crate::trie::TrieIndex;
 use crate::value::Value;
 use crate::wal::{self, CommitKind, Durability, Wal, WalPolicy};
 use std::collections::HashMap;
@@ -28,10 +29,11 @@ pub struct TableEntry {
     pub temp: bool,
     /// Sorted indexes built over this table (Exp-A, Fig. 10).
     pub indexes: Vec<SortedIndex>,
-    /// Trie indexes for worst-case-optimal joins, built lazily per key
-    /// order through `&Catalog` and invalidated on any mutation. Derived
-    /// data: never WAL-logged, rebuilt on demand after recovery.
-    pub tries: TrieCache,
+    /// Derived indexes — tries for worst-case-optimal joins and hash join
+    /// indexes for the fused aggregate-join — built lazily per key-column
+    /// list through `&Catalog` and invalidated together on any mutation.
+    /// Never WAL-logged, rebuilt on demand after recovery.
+    pub cache: IndexCache,
     /// Optimizer statistics. Base tables get them at load time; temp
     /// tables only via an explicit [`Catalog::analyze`] (the paper's
     /// PostgreSQL pain point is exactly their absence). Mutation through
@@ -121,7 +123,7 @@ impl Catalog {
                 rel,
                 temp,
                 indexes: Vec::new(),
-                tries: TrieCache::default(),
+                cache: IndexCache::default(),
                 stats,
             }),
         );
@@ -154,7 +156,7 @@ impl Catalog {
                 rel,
                 temp,
                 indexes: Vec::new(),
-                tries: TrieCache::default(),
+                cache: IndexCache::default(),
                 stats,
             }),
         );
@@ -175,7 +177,7 @@ impl Catalog {
                 rel,
                 temp: true,
                 indexes: Vec::new(),
-                tries: TrieCache::default(),
+                cache: IndexCache::default(),
                 stats,
             }),
         );
@@ -295,9 +297,9 @@ impl Catalog {
         }
         let e = self.table_mut(&key).expect("checked above");
         e.stats = None;
-        // The caller may mutate rows in place; cached tries would silently
-        // index the old contents.
-        e.tries.clear();
+        // The caller may mutate rows in place; cached tries and join
+        // indexes would silently index the old contents.
+        e.cache.clear();
         Ok(e)
     }
 
@@ -324,7 +326,7 @@ impl Catalog {
         e.stats = None;
         e.rel.truncate();
         e.indexes.clear();
-        e.tries.clear();
+        e.cache.clear();
         self.refresh_size_gauges();
         self.maybe_autocommit_publish();
         Ok(())
@@ -351,7 +353,7 @@ impl Catalog {
         // Inserts invalidate sorted order; a real engine maintains the
         // B-tree incrementally, we rebuild lazily on next use instead.
         e.indexes.clear();
-        e.tries.clear();
+        e.cache.clear();
         let out = e.rel.extend(rows);
         self.refresh_size_gauges();
         self.maybe_autocommit_publish();
@@ -385,7 +387,7 @@ impl Catalog {
         let e = self.entry_mut_keep_stats(name)?;
         e.stats = None;
         e.indexes.clear();
-        e.tries.clear();
+        e.cache.clear();
         // Adds land before deletes so a batch that inserts and deletes the
         // same row nets out (insert-then-delete is a no-op).
         e.rel.extend(adds)?;
@@ -419,20 +421,20 @@ impl Catalog {
     /// lazily; any mutation of the table drops the cache.
     pub fn trie_for(&self, name: &str, cols: &[usize]) -> Result<std::sync::Arc<TrieIndex>> {
         let e = self.entry(name)?;
-        Ok(e.tries.get_or_build(&e.rel, cols))
+        Ok(e.cache.trie(&e.rel, cols))
     }
 
     /// The cached trie covering exactly `cols`, if one was built and has
     /// not been invalidated since.
     pub fn trie_on(&self, name: &str, cols: &[usize]) -> Option<std::sync::Arc<TrieIndex>> {
-        self.tables.get(&norm(name)).and_then(|e| e.tries.cached(cols))
+        self.tables.get(&norm(name)).and_then(|e| e.cache.cached_trie(cols))
     }
 
     /// Eagerly build (or rebuild) the trie on `cols` — the warm-up path
     /// benchmarks use; lazy builds via [`Catalog::trie_for`] are the norm.
     pub fn build_trie(&mut self, name: &str, cols: &[usize]) -> Result<()> {
         let e = self.entry_mut_keep_stats(name)?;
-        e.tries.get_or_build(&e.rel, cols);
+        e.cache.trie(&e.rel, cols);
         Ok(())
     }
 
@@ -731,6 +733,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keyidx::KeyIndex;
     use crate::relation::{edge_schema, node_schema};
     use crate::row;
 
@@ -816,6 +819,61 @@ mod tests {
         c.drop_table("T").unwrap();
         assert!(c.trie_on("T", &[0, 1]).is_none(), "drop removes the table's tries");
         assert!(c.trie_for("T", &[0, 1]).is_err());
+    }
+
+    #[test]
+    fn every_mutation_path_drops_the_join_index() {
+        // only join indexes are ever cached on T here
+        fn cached(c: &Catalog) -> bool {
+            !c.entry("T").unwrap().cache.is_empty()
+        }
+        fn index(c: &Catalog, name: &str, col: usize) -> Arc<KeyIndex> {
+            let e = c.entry(name).unwrap();
+            e.cache.join_index(&e.rel, &[col], 1)
+        }
+        let mut c = Catalog::new();
+        c.create_table("T", Relation::new(edge_schema())).unwrap();
+        c.insert_rows("T", vec![row![1, 2, 1.0], row![2, 3, 1.0]], WalPolicy::None)
+            .unwrap();
+        let warm = |c: &Catalog| {
+            let first = index(c, "T", 0);
+            assert!(Arc::ptr_eq(&first, &index(c, "T", 0)), "second lookup hits the cache");
+            assert!(cached(c));
+        };
+        warm(&c);
+        c.insert_rows("T", vec![row![3, 1, 1.0]], WalPolicy::None).unwrap();
+        assert!(!cached(&c), "insert_rows drops the join index");
+        let rebuilt = index(&c, "T", 0);
+        assert_eq!(
+            rebuilt.probe(c.relation("T").unwrap(), &[Value::Int(3)], &[0]).count(),
+            1,
+            "rebuilt over the new rows"
+        );
+        c.truncate("T").unwrap();
+        assert!(!cached(&c), "truncate drops the join index");
+        c.insert_rows("T", vec![row![1, 2, 1.0]], WalPolicy::None).unwrap();
+        warm(&c);
+        c.apply_delta("T", vec![row![4, 5, 1.0]], vec![], WalPolicy::None)
+            .unwrap();
+        assert!(!cached(&c), "apply_delta drops the join index");
+        warm(&c);
+        let _ = c.entry_mut("T").unwrap();
+        assert!(!cached(&c), "entry_mut drops the join index");
+        warm(&c);
+        let _ = c.relation_mut("T").unwrap();
+        assert!(!cached(&c), "relation_mut drops the join index");
+        warm(&c);
+        c.create_or_replace("T", Relation::new(edge_schema()), false)
+            .unwrap();
+        assert!(!cached(&c), "create_or_replace starts from an empty cache");
+        warm(&c);
+        c.drop_table("T").unwrap();
+        assert!(c.entry("T").is_err(), "drop removes the table and its join indexes");
+        // statistics and sorted indexes are separate: analyze keeps the cache
+        c.create_table("U", Relation::new(edge_schema())).unwrap();
+        let u = index(&c, "U", 1);
+        c.analyze("U").unwrap();
+        assert!(Arc::ptr_eq(&u, &index(&c, "U", 1)));
     }
 
     #[test]

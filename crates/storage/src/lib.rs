@@ -12,6 +12,7 @@
 //! the primary key, which double as the relation representations of the
 //! node vector and adjacency matrix.
 
+pub mod cache;
 pub mod catalog;
 pub mod column;
 pub mod error;
@@ -28,17 +29,18 @@ pub mod value;
 pub mod vfs;
 pub mod wal;
 
+pub use cache::IndexCache;
 pub use catalog::{Catalog, CheckpointStats, TableEntry};
 pub use column::{Batch, ColumnBuilder, ColumnVec, NullMask, StringTable, GATHER_NULL};
 pub use error::{Result, StorageError};
 pub use hash::{FxHashMap, FxHashSet};
 pub use index::{HashIndex, SortedIndex};
-pub use keyidx::{key_has_null, key_hash, keys_eq, KeyIndex};
+pub use keyidx::{key_has_null, key_hash, keys_eq, KeyDict, KeyIndex};
 pub use mvcc::{GenerationHub, PinnedSnapshot, Snapshot};
 pub use recover::{open_catalog, InterruptedRun, RecoveryReport};
 pub use relation::{edge_schema, node_schema, ColumnSketch, Key, Relation, RelationStats, Row};
 pub use schema::{Column, DataType, Schema};
-pub use trie::{TrieCache, TrieCursor, TrieIndex};
+pub use trie::{TrieCursor, TrieIndex};
 pub use value::Value;
 pub use vfs::{SimVfs, StdVfs, UnsyncedFate, Vfs};
 pub use wal::{CommitKind, Durability, Wal, WalPolicy, WalRecord};

@@ -121,11 +121,19 @@ impl Drop for PinnedSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relation::{node_schema, Relation};
+    use crate::keyidx::KeyIndex;
+    use crate::relation::{edge_schema, node_schema, Relation};
     use crate::row;
+    use crate::value::Value;
     use crate::wal::WalPolicy;
 
     fn assert_send_sync<T: Send + Sync>() {}
+
+    /// `name`'s join index on `cols`, from (or built into) its cache.
+    fn join_index(c: &Catalog, name: &str, cols: &[usize]) -> Arc<KeyIndex> {
+        let e = c.entry(name).unwrap();
+        e.cache.join_index(&e.rel, cols, 1)
+    }
 
     #[test]
     fn snapshots_cross_threads() {
@@ -184,20 +192,32 @@ mod tests {
         // clobbered. A pinned reader keeps hitting its own generation's
         // trie and statistics across writer mutations.
         let mut c = Catalog::new();
-        c.create_table("T", Relation::new(crate::relation::edge_schema()))
+        c.create_table("T", Relation::new(edge_schema()))
             .unwrap();
         c.insert_rows("T", vec![row![1, 2, 1.0], row![2, 3, 1.0]], WalPolicy::None)
             .unwrap();
         c.build_trie("T", &[0, 1]).unwrap();
+        let index = join_index(&c, "T", &[1]);
         c.analyze("T").unwrap();
         let hub = c.enable_mvcc();
         let pin = hub.pin();
         assert!(pin.catalog().trie_on("T", &[0, 1]).is_some(), "snapshot carries the cache");
+        let pinned_index = join_index(pin.catalog(), "T", &[1]);
+        assert!(Arc::ptr_eq(&pinned_index, &index), "and the join index, shared");
         let snap_rows = pin.catalog().stats("T").unwrap().rows;
 
         // writer mutates: its own cache invalidates, the pin's must not
         c.insert_rows("T", vec![row![3, 4, 1.0]], WalPolicy::None).unwrap();
         assert!(c.trie_on("T", &[0, 1]).is_none(), "writer cache invalidated");
+        assert!(c.entry("T").unwrap().cache.is_empty(), "writer join index invalidated");
+        let kept = join_index(pin.catalog(), "T", &[1]);
+        assert!(Arc::ptr_eq(&kept, &index), "pinned join index survives");
+        let pinned_rel = pin.catalog().relation("T").unwrap();
+        assert_eq!(
+            kept.probe(pinned_rel, &[Value::Int(0), Value::Int(4)], &[1]).count(),
+            0,
+            "the pinned index knows nothing of the writer's new row"
+        );
         assert!(c.stats("T").is_none(), "writer stats invalidated");
         let t = pin.catalog().trie_on("T", &[0, 1]).expect("pinned trie survives");
         assert_eq!(t.len(), 2, "pinned trie indexes the pinned rows");
@@ -209,6 +229,39 @@ mod tests {
         let rebuilt = pin.catalog().trie_for("T", &[1, 0]).unwrap();
         assert_eq!(rebuilt.len(), 2);
         assert!(c.trie_on("T", &[1, 0]).is_none(), "writer unaffected by snapshot build");
+        let writer_index = join_index(&c, "T", &[1]);
+        assert!(!Arc::ptr_eq(&writer_index, &kept), "writer rebuilds over its own rows");
+        let writer_rel = c.relation("T").unwrap();
+        let probe = [Value::Int(0), Value::Int(4)];
+        assert_eq!(writer_index.probe(writer_rel, &probe, &[1]).count(), 1);
+    }
+
+    #[test]
+    fn reader_builds_while_the_writer_mutates() {
+        // A reader paying a join-index build on its snapshot and the writer
+        // copying the same table entry run side by side (the build holds
+        // no cache lock); each ends with an index over its own rows.
+        let mut c = Catalog::new();
+        c.create_table("T", Relation::new(edge_schema())).unwrap();
+        let rows = (0..20_000).map(|i| row![i % 500, i, 1.0]).collect();
+        c.insert_rows("T", rows, WalPolicy::None).unwrap();
+        let hub = c.enable_mvcc();
+        let pin = hub.pin();
+        let probe = [Value::Int(7)];
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let snap = pin.catalog();
+                let index = join_index(snap, "T", &[0]);
+                index.probe(snap.relation("T").unwrap(), &probe, &[0]).count()
+            });
+            for i in 0..20 {
+                c.insert_rows("T", vec![row![7, 100_000 + i, 1.0]], WalPolicy::None)
+                    .unwrap();
+            }
+            assert_eq!(reader.join().unwrap(), 40, "the reader indexes its pinned rows");
+        });
+        let index = join_index(&c, "T", &[0]);
+        assert_eq!(index.probe(c.relation("T").unwrap(), &probe, &[0]).count(), 60);
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //! duplicate rows) with bag semantics — multiplicity lives in the rows, not
 //! in the trie.
 //!
-//! Tries are derived data: the catalog caches them per table in a
-//! [`TrieCache`] and drops the cache on any mutation (insert / truncate /
-//! in-place access), like sorted indexes. They are never WAL-logged.
+//! Tries are derived data: the catalog caches them per table in an
+//! [`IndexCache`](crate::cache::IndexCache) and drops the cache on any
+//! mutation (insert / truncate / in-place access), like sorted indexes.
+//! They are never WAL-logged.
 
 use crate::relation::Relation;
 use crate::value::Value;
-use std::sync::{Arc, Mutex};
 
 /// Layered trie over `rel[cols]`: row ids sorted lexicographically by the
 /// key columns, plus one [`Level`] per key column holding the *distinct*
@@ -323,69 +323,6 @@ impl<'a> TrieCursor<'a> {
     }
 }
 
-/// Per-table cache of built tries, shared through `&Catalog` so lazy builds
-/// can happen during (immutable) plan execution. Cloning an entry clones the
-/// list of `Arc`'d tries into an independent cache; the tries themselves are
-/// immutable and shared.
-#[derive(Default)]
-pub struct TrieCache(Mutex<Vec<Arc<TrieIndex>>>);
-
-impl Clone for TrieCache {
-    fn clone(&self) -> Self {
-        TrieCache(Mutex::new(self.lock().clone()))
-    }
-}
-
-impl std::fmt::Debug for TrieCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TrieCache({} tries)", self.lock().len())
-    }
-}
-
-impl TrieCache {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<TrieIndex>>> {
-        // a poisoned cache holds only complete, immutable tries
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The cached trie for exactly `cols`, if built.
-    pub fn cached(&self, cols: &[usize]) -> Option<Arc<TrieIndex>> {
-        self.lock().iter().find(|t| t.covers(cols)).cloned()
-    }
-
-    /// Get the trie for `cols`, building and caching it on a miss.
-    pub fn get_or_build(&self, rel: &Relation, cols: &[usize]) -> Arc<TrieIndex> {
-        let mut g = self.lock();
-        if let Some(t) = g.iter().find(|t| t.covers(cols)) {
-            aio_metrics::hooks::trie_cache(true);
-            return Arc::clone(t);
-        }
-        aio_metrics::hooks::trie_cache(false);
-        let started = std::time::Instant::now();
-        let t = Arc::new(TrieIndex::build(rel, cols));
-        aio_metrics::global()
-            .engine
-            .trie_build_ms
-            .observe(started.elapsed().as_millis() as u64);
-        g.push(Arc::clone(&t));
-        t
-    }
-
-    /// Drop every cached trie (any mutation of the base rows).
-    pub fn clear(&self) {
-        self.lock().clear();
-    }
-
-    /// Number of cached tries.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,20 +426,5 @@ mod tests {
             }
         }
         assert_eq!(seen, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn cache_builds_once_and_clears() {
-        let r = rel();
-        let cache = TrieCache::default();
-        assert!(cache.cached(&[0, 1]).is_none());
-        let a = cache.get_or_build(&r, &[0, 1]);
-        let b = cache.get_or_build(&r, &[0, 1]);
-        assert!(Arc::ptr_eq(&a, &b), "second lookup hits the cache");
-        assert_eq!(cache.len(), 1);
-        let _ = cache.get_or_build(&r, &[1, 0]);
-        assert_eq!(cache.len(), 2, "distinct column orders cache separately");
-        cache.clear();
-        assert!(cache.cached(&[0, 1]).is_none());
     }
 }

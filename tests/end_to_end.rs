@@ -186,3 +186,41 @@ fn early_selection_rewrite_preserves_algorithm_results() {
     // fewer tuples flow through the join once P.L < 6 is applied early
     assert!(optimized.stats.exec.rows_produced <= plain.stats.exec.rows_produced);
 }
+
+/// The fused aggregate-join caches the build side's join index on the
+/// stored table. Mutating that table between two runs of the same with+
+/// program must drop the index, so the second run answers over the new
+/// rows — exactly as a fresh database loaded with them does.
+#[test]
+fn second_run_sees_build_side_mutation() {
+    use all_in_one::algos::common::{db_for, EdgeStyle};
+    use all_in_one::storage::WalPolicy;
+    let g = generate(GraphKind::PowerLaw, 300, 2_000, true, 7);
+    let setup = |db: &mut Database| {
+        db.set_param("c", 0.85);
+        db.set_param("n", 300.0);
+    };
+    let sql = algos::pagerank::sql(8);
+    let mut db = db_for(&g, &oracle_like(), EdgeStyle::PageRank).unwrap();
+    setup(&mut db);
+    let before = db.execute(&sql).unwrap().relation;
+    assert!(
+        !db.catalog.entry("E").unwrap().cache.is_empty(),
+        "the run cached E's join index on F"
+    );
+    db.catalog
+        .insert_rows("E", vec![row![0, 5, 0.5], row![1, 5, 0.5]], WalPolicy::None)
+        .unwrap();
+    let after = db.execute(&sql).unwrap().relation;
+
+    let mut fresh = Database::new(oracle_like());
+    for t in ["E", "V", "L"] {
+        fresh
+            .create_table(t, db.catalog.relation(t).unwrap().clone())
+            .unwrap();
+    }
+    setup(&mut fresh);
+    let want = fresh.execute(&sql).unwrap().relation;
+    assert_eq!(after.rows(), want.rows(), "second run answers over the new edges");
+    assert_ne!(after.rows(), before.rows(), "the new edges change the ranks");
+}
